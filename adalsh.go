@@ -227,7 +227,9 @@ type Config struct {
 	// of the default paged arenas and pooled open-addressing tables.
 	// Results, statistics and observability counters are identical
 	// either way — the flag exists for A/B benchmarking the layouts and
-	// as an escape hatch while the new layout bakes.
+	// as an escape hatch while the new layout bakes. With Shards > 1
+	// only the cache layout applies: the sharded engine's reconcile
+	// probes its open-addressing bucket tables directly.
 	LegacyMemLayout bool
 	// OnRound, when non-nil, receives a progress snapshot after every
 	// adaptive round — hook for logging or progress display.
@@ -324,7 +326,7 @@ func FilterWithPlan(ds *Dataset, plan *Plan, cfg Config) (*Result, error) {
 		o := cfg.options()
 		sopts := shard.Options{
 			Shards: cfg.Shards, K: o.K, ReturnClusters: o.ReturnClusters,
-			Workers: o.Workers, CacheLayout: o.CacheLayout, MapTables: o.HashMapTables,
+			Workers: o.Workers, CacheLayout: o.CacheLayout,
 			OnRound: o.OnRound, Obs: o.Obs,
 		}
 		return shard.Filter(ds, plan, sopts)

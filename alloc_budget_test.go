@@ -81,16 +81,18 @@ func TestAllocBudgetHashHotLoop(t *testing.T) {
 	check("parallel hash round", res.AllocsPerOp(), parallelHashAllocBudget)
 
 	// Sharded hash round with boundary export — the per-shard steady
-	// state of the scale-out engine (internal/shard). On top of the
-	// serial round it allocates only the returned boundary structures
-	// (bucket lists and representatives), which is a per-round output,
-	// not per-record churn.
+	// state of the scale-out engine (internal/shard), which hands the
+	// finished bucket tables back to its pool once the round's
+	// reconcile ends. On top of the serial round it allocates only the
+	// returned boundary structures (bucket lists and representatives),
+	// which is a per-round output, not per-record churn.
 	res = testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			var st core.HashStats
-			core.ApplyHashExport(bench.Dataset, plan, plan.Funcs[0], nil, recs, nil,
+			_, _, tabs := core.ApplyHashExport(bench.Dataset, plan, plan.Funcs[0], nil, recs, nil,
 				core.HashOptions{Workers: 1, MinParallel: 1, Pool: pool}, &st)
+			tabs.Release(pool)
 		}
 	})
 	check("sharded hash round (boundary export)", res.AllocsPerOp(), shardedHashAllocBudget)

@@ -58,23 +58,36 @@ func (a *sigArena) alloc(n int) (page, off int32) {
 	if len(pages) == 0 || a.used+n > len(pages[len(pages)-1]) {
 		size := arenaMinPage
 		if len(pages) > 0 {
-			size = 2 * len(pages[len(pages)-1])
+			size = max(size, 2*len(pages[len(pages)-1]))
 		}
-		if size < n {
-			size = n
-		}
-		next := make([][]uint64, len(pages)+1)
-		copy(next, pages)
-		next[len(pages)] = make([]uint64, size)
-		a.pages.Store(&next)
-		pages = next
-		a.used = 0
+		pages = a.addPage(pages, max(size, n))
 	}
 	page = int32(len(pages) - 1)
 	off = int32(a.used)
 	a.used += n
 	a.mu.Unlock()
 	return page, off
+}
+
+// reserve appends one page of exactly n words (n > 0), so the next
+// allocations totalling n words fill it without growing the ladder. A
+// restored cache reserves its summed prefix words up front: its arena
+// then holds exactly the restored data, whatever the record order.
+func (a *sigArena) reserve(n int) {
+	a.mu.Lock()
+	a.addPage(*a.pages.Load(), n)
+	a.mu.Unlock()
+}
+
+// addPage publishes pages plus one fresh size-word page and resets the
+// bump cursor to it. The caller holds mu.
+func (a *sigArena) addPage(pages [][]uint64, size int) [][]uint64 {
+	next := make([][]uint64, len(pages)+1)
+	copy(next, pages)
+	next[len(pages)] = make([]uint64, size)
+	a.pages.Store(&next)
+	a.used = 0
+	return next
 }
 
 // view returns the n-word region at (page, off). The three-index slice

@@ -180,3 +180,53 @@ func TestCacheGrowPreservesPrefixes(t *testing.T) {
 		}
 	}
 }
+
+// TestRestoredArenaSizedExactly pins the restored cache's memory: each
+// hasher's arena gets one page of exactly its summed prefix words, so
+// MemBytes is 8 bytes per restored word plus a 16-byte sigRef per
+// record and hasher — even when the first record has the deepest
+// prefix, which under the page ladder would have set an oversized
+// first page and forced a second.
+func TestRestoredArenaSizedExactly(t *testing.T) {
+	ds, _ := cacheLayoutDataset(t)
+	const hashers = 2
+	st := &CacheState{Layout: CacheArena, Evals: make([]int64, hashers)}
+	var words int64
+	for h := 0; h < hashers; h++ {
+		lens := make([]int32, ds.Len())
+		lens[0] = int32(3*arenaMinPage + h)
+		for rec := 1; rec < len(lens); rec += 2 {
+			lens[rec] = int32(1 + rec%7)
+		}
+		var vals []uint64
+		for rec, n := range lens {
+			for i := 0; i < int(n); i++ {
+				vals = append(vals, uint64(h<<40|rec<<20|i))
+			}
+		}
+		st.Lens = append(st.Lens, lens)
+		st.Vals = append(st.Vals, vals)
+		words += int64(len(vals))
+	}
+	c, err := NewCacheFromState(ds, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := c.MemBytes(), 8*words+16*int64(hashers*ds.Len()); got != want {
+		t.Errorf("restored MemBytes = %d, want 8*%d words + 16*%d refs = %d", got, words, hashers*ds.Len(), want)
+	}
+	for h := 0; h < hashers; h++ {
+		off := 0
+		for rec, n := range st.Lens[h] {
+			if c.Prefix(h, rec) != int(n) {
+				t.Fatalf("hasher %d record %d: prefix %d, want %d", h, rec, c.Prefix(h, rec), n)
+			}
+			for i, v := range c.prefixValues(h, rec, int(n)) {
+				if v != st.Vals[h][off+i] {
+					t.Fatalf("hasher %d record %d value %d = %#x, want %#x", h, rec, i, v, st.Vals[h][off+i])
+				}
+			}
+			off += int(n)
+		}
+	}
+}

@@ -26,12 +26,32 @@ type BucketRep struct {
 	Rep int32
 }
 
+// BucketTables are the finished bucket tables of one ApplyHashExport
+// call, one per hash table of the function: each maps a bucket key to
+// the bucket's last inserted record (an index into that call's recs).
+// The caller owns them until it hands them back with Release; until
+// then they are read-only and safe for concurrent Lookup calls.
+type BucketTables []*oaTable
+
+// Lookup returns the last record inserted under key in table t, as an
+// index into the exporting call's recs.
+func (b BucketTables) Lookup(t int, key uint64) (int32, bool) {
+	return b[t].lookup(key)
+}
+
+// Release returns the tables to pool (the pool the exporting call drew
+// them from) for reuse by later rounds. A nil pool drops them.
+func (b BucketTables) Release(pool *HashPool) {
+	if pool != nil {
+		pool.putTables(b)
+	}
+}
+
 // ApplyHashExport applies transitive hashing function hf to the
-// records in recs exactly like the serial paths of ApplyHashOpt — same
-// record-major insertion order, same bucket tables (pooled
-// open-addressing, or legacy Go maps when opts.MapTables is set), same
-// collision and merge counting — but shapes its output for a sharded
-// engine (internal/shard):
+// records in recs exactly like the serial open-addressing path of
+// ApplyHashOpt — same record-major insertion order, same collision and
+// merge counting — but shapes its output for a sharded engine
+// (internal/shard):
 //
 //   - the returned partition holds indices into recs rather than
 //     dataset record IDs, ordered canonically (largest cluster first,
@@ -39,16 +59,18 @@ type BucketRep struct {
 //     since recs is ascending in every engine call site);
 //   - one BucketRep per non-empty bucket is appended to reps (reuse a
 //     caller-owned buffer to keep rounds allocation-steady), in bucket
-//     creation order, so a coordinator can detect boundary keys —
-//     buckets that other shards also populated — and chain exactly one
-//     edge per extra shard.
+//     creation order;
+//   - the finished bucket tables are returned instead of recycled, so
+//     a coordinator can look up another shard's bucket keys in them
+//     and chain exactly one edge per extra shard. The caller returns
+//     them with BucketTables.Release(opts.Pool) once done.
 //
 // The function is deliberately serial: the sharded engine gets its
 // parallelism from running P exports concurrently (one per shard, each
 // with its own dataset view, cache and pool), not from fanning out
-// inside one shard. opts.Workers/Shards/MinParallel are ignored;
-// opts.Capture is not supported.
-func ApplyHashExport(ds *record.Dataset, p *Plan, hf *HashFunc, cache *Cache, recs []int32, reps []BucketRep, opts HashOptions, st *HashStats) ([][]int32, []BucketRep) {
+// inside one shard. opts.Workers/Shards/MinParallel/MapTables are
+// ignored; opts.Capture is not supported.
+func ApplyHashExport(ds *record.Dataset, p *Plan, hf *HashFunc, cache *Cache, recs []int32, reps []BucketRep, opts HashOptions, st *HashStats) ([][]int32, []BucketRep, BucketTables) {
 	start := time.Now()
 	pool := opts.Pool
 	if pool == nil {
@@ -69,58 +91,26 @@ func ApplyHashExport(ds *record.Dataset, p *Plan, hf *HashFunc, cache *Cache, re
 
 	scratch := pool.getScratch(ds, p, hf, cache)
 	rowKeys := pool.keyMatrix(numTables)
-	if opts.MapTables {
-		// Legacy path: per-table Go maps, as in ApplyHashOpt's serial
-		// map branch (the reference implementation for the memory-layout
-		// equivalence tests).
-		tables := make([]map[uint64]int32, numTables)
-		for t := range tables {
-			tables[t] = make(map[uint64]int32)
-		}
-		for li, rec := range recs {
-			scratch.keysFor(rec, rowKeys)
-			for t, key := range rowKeys {
-				li32 := int32(li)
-				last, occupied := tables[t][key]
-				if !forest.InTree(li) {
-					forest.MakeTree(li)
+	tables := pool.getTables(numTables, len(recs))
+	for li, rec := range recs {
+		scratch.keysFor(rec, rowKeys)
+		for t, key := range rowKeys {
+			li32 := int32(li)
+			last, occupied := tables[t].swap(key, li32)
+			if !forest.InTree(li) {
+				forest.MakeTree(li)
+			}
+			if occupied {
+				collisions++
+				ra, rb := forest.Root(int(last)), forest.Root(li)
+				if ra != rb {
+					forest.Merge(ra, rb)
+					merges++
 				}
-				if occupied {
-					collisions++
-					ra, rb := forest.Root(int(last)), forest.Root(li)
-					if ra != rb {
-						forest.Merge(ra, rb)
-						merges++
-					}
-				} else {
-					reps = append(reps, BucketRep{Key: key, Table: int32(t), Rep: li32})
-				}
-				tables[t][key] = li32
+			} else {
+				reps = append(reps, BucketRep{Key: key, Table: int32(t), Rep: li32})
 			}
 		}
-	} else {
-		tables := pool.getTables(numTables, len(recs))
-		for li, rec := range recs {
-			scratch.keysFor(rec, rowKeys)
-			for t, key := range rowKeys {
-				li32 := int32(li)
-				last, occupied := tables[t].swap(key, li32)
-				if !forest.InTree(li) {
-					forest.MakeTree(li)
-				}
-				if occupied {
-					collisions++
-					ra, rb := forest.Root(int(last)), forest.Root(li)
-					if ra != rb {
-						forest.Merge(ra, rb)
-						merges++
-					}
-				} else {
-					reps = append(reps, BucketRep{Key: key, Table: int32(t), Rep: li32})
-				}
-			}
-		}
-		pool.putTables(tables)
 	}
 	scratch.flushEvals(evals)
 	scratch.flushSigElems(selems)
@@ -132,7 +122,7 @@ func ApplyHashExport(ds *record.Dataset, p *Plan, hf *HashFunc, cache *Cache, re
 		st.Collisions += collisions
 		st.Merges += merges
 	}
-	return out, reps
+	return out, reps, tables
 }
 
 // collectClusterIdx is collectClusters emitting local indices instead

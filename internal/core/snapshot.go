@@ -82,7 +82,9 @@ func (c *Cache) prefixValues(h, rec, n int) []uint64 {
 // NewCacheFromState rebuilds a cache from a captured state, preserving
 // every prefix and counter exactly: a restored cache serves the same
 // Ensure hits, reports the same HashEvals/Lookups, and extends prefixes
-// from the same positions as the original.
+// from the same positions as the original. An arena cache restores
+// each hasher's prefixes into one page of exactly their summed size,
+// so its memory does not depend on record order.
 func NewCacheFromState(ds *record.Dataset, st *CacheState) (*Cache, error) {
 	if st.Layout > CacheSlices {
 		return nil, fmt.Errorf("core: cache state has unknown layout %d", st.Layout)
@@ -108,6 +110,9 @@ func NewCacheFromState(ds *record.Dataset, st *CacheState) (*Cache, error) {
 		if total != len(st.Vals[i]) {
 			return nil, fmt.Errorf("core: cache state hasher %d: prefix lengths sum to %d values, state holds %d",
 				i, total, len(st.Vals[i]))
+		}
+		if st.Layout == CacheArena && total > 0 {
+			c.arenas[i].reserve(total)
 		}
 		off := 0
 		for rec, n32 := range st.Lens[i] {

@@ -352,6 +352,9 @@ func parseCol(path string, data []byte) (*record.Dataset, error) {
 	if foot.Version != 1 {
 		return nil, fmt.Errorf("dsio: %s: col format version %d, want 1", path, foot.Version)
 	}
+	if err := foot.validate(footOff); err != nil {
+		return nil, fmt.Errorf("dsio: %s: %w", path, err)
+	}
 	nf := len(foot.Kinds)
 	n := int(foot.Records)
 	ds := &record.Dataset{Name: foot.Name}
@@ -363,9 +366,6 @@ func parseCol(path string, data []byte) (*record.Dataset, error) {
 	}
 	at := 0
 	for bi, blk := range foot.Blocks {
-		if blk.Off < int64(len(colMagic)) || blk.Off >= footOff || blk.Count <= 0 {
-			return nil, fmt.Errorf("dsio: %s: corrupt block %d index", path, bi)
-		}
 		off := blk.Off
 		for fi := 0; fi < nf; fi++ {
 			lensBytes := int64((blk.Count+1)/2) * 8
@@ -378,7 +378,7 @@ func parseCol(path string, data []byte) (*record.Dataset, error) {
 			for r := 0; r < blk.Count; r++ {
 				total += int64(uint32(lens[r/2] >> (32 * (r % 2))))
 			}
-			if off+total*8 > footOff {
+			if total > (footOff-off)/8 {
 				return nil, fmt.Errorf("dsio: %s: block %d overruns the data section", path, bi)
 			}
 			words := wordsOf(data[off : off+total*8])
@@ -394,10 +394,8 @@ func parseCol(path string, data []byte) (*record.Dataset, error) {
 					fld = record.Set(view)
 				case record.VectorKind:
 					fld = record.Vector(floatsOf(view))
-				case record.BitsKind:
+				default: // record.BitsKind; validate rejected other kinds
 					fld = record.Bits{Words: view, Width: foot.Widths[fi]}
-				default:
-					return nil, fmt.Errorf("dsio: %s: unknown field kind %d", path, foot.Kinds[fi])
 				}
 				backing[(at+r)*nf+fi] = fld
 			}
@@ -416,10 +414,48 @@ func parseCol(path string, data []byte) (*record.Dataset, error) {
 		}
 		at += blk.Count
 	}
-	if at != n {
-		return nil, fmt.Errorf("dsio: %s: block index covers %d records, footer says %d", path, at, n)
-	}
 	return ds, nil
+}
+
+// validate checks the footer against the data section, which ends at
+// footOff, before parseCol sizes anything from it: the record count
+// must be one the section can hold and the block counts must sum to
+// it, the layout arrays must agree, and the block offsets must be
+// word-aligned (blocks are viewed as words in place) and rise strictly
+// inside the section. The checks are O(fields + blocks); the
+// per-record length arrays are bounds-checked as parseCol reads them.
+func (f *colFooter) validate(footOff int64) error {
+	if len(f.Widths) != len(f.Kinds) {
+		return fmt.Errorf("col footer has %d widths for %d kinds", len(f.Widths), len(f.Kinds))
+	}
+	for i, k := range f.Kinds {
+		switch record.FieldKind(k) {
+		case record.SetKind, record.VectorKind, record.BitsKind:
+		default:
+			return fmt.Errorf("col field %d has unknown kind %d", i, k)
+		}
+	}
+	// Every record stores an 8-byte truth label and, per field, at
+	// least a 4-byte length: bound the record count by the section.
+	section := footOff - int64(len(colMagic))
+	perRecord := 8 + 4*int64(len(f.Kinds))
+	if f.Records < 0 || f.Records > section/perRecord {
+		return fmt.Errorf("col footer claims %d records, the %d-byte data section holds at most %d",
+			f.Records, section, section/perRecord)
+	}
+	left := f.Records
+	prev := int64(len(colMagic)) - 1
+	for bi, blk := range f.Blocks {
+		if blk.Off <= prev || blk.Off >= footOff || blk.Off%8 != 0 || blk.Count <= 0 || int64(blk.Count) > left {
+			return fmt.Errorf("corrupt col block %d index", bi)
+		}
+		prev = blk.Off
+		left -= int64(blk.Count)
+	}
+	if left != 0 {
+		return fmt.Errorf("col block index covers %d records, footer says %d", f.Records-left, f.Records)
+	}
+	return nil
 }
 
 // wordsOf views 8-byte-aligned bytes as words without copying.

@@ -2,6 +2,8 @@ package dsio
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -243,4 +245,74 @@ func TestReadBatchesAbort(t *testing.T) {
 
 func writeFile(path, content string) error {
 	return os.WriteFile(path, []byte(content), 0o644)
+}
+
+// colWithFooter writes a small valid .col file and returns its bytes
+// with the footer replaced by mutate's edit of it.
+func colWithFooter(t testing.TB, mutate func(*colFooter)) []byte {
+	t.Helper()
+	p := filepath.Join(t.TempDir(), "ok.col")
+	if err := WriteCol(p, colTestDataset(40)); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := data[len(data)-len(colMagic)-16:]
+	footOff := binary.LittleEndian.Uint64(tr)
+	footLen := binary.LittleEndian.Uint64(tr[8:])
+	var foot colFooter
+	if err := json.Unmarshal(data[footOff:footOff+footLen], &foot); err != nil {
+		t.Fatal(err)
+	}
+	mutate(&foot)
+	enc, err := json.Marshal(foot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := append(data[:footOff:footOff], enc...)
+	out = binary.LittleEndian.AppendUint64(out, footOff)
+	out = binary.LittleEndian.AppendUint64(out, uint64(len(enc)))
+	return append(out, colMagic...)
+}
+
+// TestOpenColRejectsCraftedFooters pins the footer checks: each of
+// these footers once made OpenCol panic (index out of range or a
+// negative makeslice) and must now be an error.
+func TestOpenColRejectsCraftedFooters(t *testing.T) {
+	cases := map[string]func(*colFooter){
+		"records below block sum": func(f *colFooter) { f.Records-- },
+		"records above block sum": func(f *colFooter) { f.Records++ },
+		"negative records":        func(f *colFooter) { f.Records = -5 },
+		"records beyond file":     func(f *colFooter) { f.Records = 1 << 40 },
+		"short widths":            func(f *colFooter) { f.Widths = f.Widths[:1] },
+		"unknown kind":            func(f *colFooter) { f.Kinds[0] = 99 },
+		"repeated block":          func(f *colFooter) { f.Blocks = append(f.Blocks, f.Blocks[0]); f.Records *= 2 },
+		"block past footer":       func(f *colFooter) { f.Blocks[0].Off = 1 << 30 },
+		"misaligned block":        func(f *colFooter) { f.Blocks[0].Off += 4 },
+		"empty block":             func(f *colFooter) { f.Blocks[0].Count = 0 },
+	}
+	dir := t.TempDir()
+	for name, mutate := range cases {
+		p := filepath.Join(dir, strings.ReplaceAll(name, " ", "_")+".col")
+		if err := os.WriteFile(p, colWithFooter(t, mutate), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cf, err := OpenCol(p)
+		if err == nil {
+			cf.Close()
+			t.Errorf("%s: OpenCol accepted the footer", name)
+		}
+	}
+	// The unmutated file still opens.
+	p := filepath.Join(dir, "ok.col")
+	if err := os.WriteFile(p, colWithFooter(t, func(*colFooter) {}), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cf, err := OpenCol(p)
+	if err != nil {
+		t.Fatalf("unmutated footer: %v", err)
+	}
+	cf.Close()
 }

@@ -2,6 +2,8 @@ package dsio
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -36,6 +38,53 @@ func FuzzRead(f *testing.F) {
 		}
 		if back.Len() != ds.Len() {
 			t.Fatalf("round trip changed record count: %d -> %d", ds.Len(), back.Len())
+		}
+	})
+}
+
+// FuzzColOpen hammers the .col reader with whole files: OpenCol must
+// return an error, never panic or allocate beyond what the file can
+// back, and any file it accepts must survive a WriteCol/OpenCol round
+// trip with its record count intact.
+func FuzzColOpen(f *testing.F) {
+	valid := colWithFooter(f, func(*colFooter) {})
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	f.Add([]byte(colMagic + colMagic))
+	flipped := append([]byte(nil), valid...)
+	flipped[len(flipped)/3] ^= 0x10
+	f.Add(flipped)
+	f.Add(colWithFooter(f, func(c *colFooter) { c.Records-- }))
+	f.Add(colWithFooter(f, func(c *colFooter) { c.Records = -5 }))
+	f.Add(colWithFooter(f, func(c *colFooter) { c.Widths = c.Widths[:1] }))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		in := filepath.Join(dir, "in.col")
+		if err := os.WriteFile(in, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cf, err := OpenCol(in)
+		if err != nil {
+			return
+		}
+		defer cf.Close()
+		ds := cf.Dataset
+		for i := range ds.Records {
+			for _, fld := range ds.Records[i].Fields {
+				fld.Len()
+			}
+		}
+		out := filepath.Join(dir, "out.col")
+		if err := WriteCol(out, ds); err != nil {
+			return // e.g. a Bits width the writer rejects for a later record
+		}
+		back, err := OpenCol(out)
+		if err != nil {
+			t.Fatalf("re-encoded file does not open: %v", err)
+		}
+		defer back.Close()
+		if back.Dataset.Len() != ds.Len() {
+			t.Fatalf("round trip changed record count: %d -> %d", ds.Len(), back.Dataset.Len())
 		}
 	})
 }

@@ -104,7 +104,6 @@ func TestOPHByteIdentity(t *testing.T) {
 				}
 				if legacy {
 					opts.CacheLayout = core.CacheSlices
-					opts.MapTables = true
 				}
 				res, err := shard.Filter(b.Dataset, plan, opts)
 				if err != nil {

@@ -130,7 +130,8 @@ type ScaleBench struct {
 	HashWallMS      float64 `json:"hash_wall_ms"`
 	HashWorkMS      float64 `json:"hash_work_ms"`
 	HashParallelism float64 `json:"hash_parallelism"`
-	// ReconcileWallMS is the sequential cross-shard reconcile time.
+	// ReconcileWallMS is the cross-shard reconcile's wall time
+	// (shard.BoundaryStats.Wall).
 	ReconcileWallMS float64 `json:"reconcile_wall_ms"`
 	PairwiseWallMS  float64 `json:"pairwise_wall_ms"`
 

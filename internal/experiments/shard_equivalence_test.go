@@ -31,7 +31,8 @@ func stripBoundaryCounters(ctrs map[string]int64) map[string]int64 {
 // memory-layout and parallel-hash equivalence suites: on a slice of
 // each paper dataset builder it runs the sharded engine
 // (internal/shard) against the single engine at shards {1, 2, 8} x
-// workers {1, 4} x both memory layouts. Clusters, output, HashEvals,
+// workers {1, 4} x both cache layouts (the legacy rows run the single
+// engine on Go-map bucket tables). Clusters, output, HashEvals,
 // PairsComputed, ModelCost and every shared observability counter must
 // be byte-identical — partitioning may only change where work runs,
 // never what the filter computes. The pairwise stage is pinned serial
@@ -83,8 +84,10 @@ func TestShardedEquivalenceOnBuilders(t *testing.T) {
 						Obs:              scol,
 					}
 					if legacy {
+						// The shards always hash into open-addressing
+						// tables (the reconcile probes them); the single
+						// engine above keeps the map tables as reference.
 						sopts.CacheLayout = core.CacheSlices
-						sopts.MapTables = true
 					}
 					sharded, err := shard.Filter(b.Dataset, plan, sopts)
 					if err != nil {

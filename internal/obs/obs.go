@@ -147,10 +147,11 @@ const (
 	CtrCheckpointFailures
 	// CtrBoundaryKeys counts distinct (table, bucket key) pairs that
 	// were populated by two or more shards during a sharded hashing
-	// round — the keys the cross-shard reconcile pass had to exchange.
+	// round — each counted once, by the probe of its second-lowest
+	// holder shard.
 	CtrBoundaryKeys
 	// CtrBoundaryPairs counts the cross-shard bucket-collision edges
-	// the reconcile pass produced (one per extra shard occupying a
+	// the reconcile probes produced (one per extra shard occupying a
 	// boundary key). Per-shard collisions plus boundary pairs equal the
 	// single-engine bucket_collisions count exactly.
 	CtrBoundaryPairs

@@ -16,8 +16,9 @@ import (
 //
 // The stream's runtime knobs keep working: SetWorkers bounds the
 // number of concurrently hashing shards, SetMemLayout selects the
-// per-shard cache layout and bucket tables, SetObs feeds the engine's
-// spans and counters. Point queries (Stream.Query) are unavailable
+// per-shard cache layout (the shards always hash into open-addressing
+// bucket tables, which the reconcile probes), SetObs feeds the
+// engine's spans and counters. Point queries (Stream.Query) are unavailable
 // while an engine is attached — the sharded engine retains no bucket
 // capture — and return core.ErrNoQueryIndex; serving layers surface
 // that as "no index" exactly as for a stream before its first TopK.
@@ -40,7 +41,6 @@ func Attach(st *core.Stream, shards int) (*Engine, error) {
 			Workers:          o.Workers,
 			PairwiseMinPairs: o.PairwiseMinPairs,
 			CacheLayout:      o.CacheLayout,
-			MapTables:        o.HashMapTables,
 			MemSample:        o.MemSample,
 			Obs:              o.Obs,
 			OnRound:          o.OnRound,

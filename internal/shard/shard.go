@@ -15,18 +15,28 @@
 // the round's records, split by owning shard. Records are owned by
 // shard SplitMix64(record id) % P for the engine's lifetime.
 //
-// Reconciliation works on exported bucket representatives: each shard
-// reports one ambassador record per non-empty bucket; buckets whose
-// (table, key) appears on two or more shards are boundary buckets, and
-// the coordinator chains one edge per extra shard — in fixed shard
-// order, so the pass is deterministic — into the round's global
-// parent-pointer forest. Per-bucket collision counts then satisfy
+// Reconciliation needs no shared map. Each shard keeps its finished
+// bucket tables until the round's reconcile ends and exports one
+// ambassador record per non-empty bucket. For every bucket (table t,
+// key k) of shard s >= 1, a probe looks k up in the tables of shards
+// s-1, ..., 0, in that order; at the first hit j it chains one edge
+// between a member of j's bucket and s's ambassador (any member works:
+// each shard's bucket is already one component of its local forest).
+// A bucket held by m shards thus yields m-1 edges, one boundary key
+// and m-1 boundary pairs, and per-bucket collision counts satisfy
 // sum_s(members_s - 1) + (shards_present - 1) = members - 1: exactly
 // the single-engine count, which is what makes the engine's counters
-// (and the differential tests' byte-identical-output guarantee)
-// possible. Pairwise verification rounds need no reconciliation at
-// all: they run on global record IDs through the unchanged
-// core.ApplyPairwiseOpt.
+// identical to the single engine's. The probes only read other
+// shards' tables, so they run concurrently, one per shard; the
+// coordinator replays the per-shard components and the probe edges
+// into the round's global parent-pointer forest. Identical output
+// comes from connectivity, not edge order: the round's edges connect
+// the same components as the single engine's, and the canonical
+// cluster collection (sorted members, largest cluster first, ties on
+// first record) makes the partition independent of merge order and
+// union-find representatives. Pairwise verification rounds need no
+// reconciliation at all: they run on global record IDs through the
+// unchanged core.ApplyPairwiseOpt.
 package shard
 
 import (
@@ -75,11 +85,10 @@ type Options struct {
 	// PairwiseMinPairs follows core.Options.PairwiseMinPairs.
 	PairwiseMinPairs int64
 
-	// CacheLayout selects the per-shard signature caches' layout;
-	// MapTables selects the legacy Go-map bucket tables inside each
-	// shard's hashing scans (core.Options.HashMapTables semantics).
+	// CacheLayout selects the per-shard signature caches' layout. The
+	// shards always use open-addressing bucket tables: the reconcile
+	// probes them directly.
 	CacheLayout core.CacheLayout
-	MapTables   bool
 
 	// MemSample and Obs follow core.Options semantics. Each hashing
 	// round reports one StageHash span for the whole round plus one
@@ -138,9 +147,11 @@ type BoundaryStats struct {
 	// Merges counts boundary edges that actually joined two still-
 	// separate components.
 	Merges int64 `json:"merges"`
-	// Wall is the summed sequential reconcile time across rounds
-	// (partitioning the round's records, replaying per-shard
-	// components, exchanging boundary buckets, collecting clusters).
+	// Wall is the summed reconcile wall time across rounds, measured
+	// after the last shard finished hashing: replaying the per-shard
+	// components, the concurrent boundary probes, merging their edges
+	// and collecting the round's clusters. Partitioning the round's
+	// records by owner and the shard scans themselves are not included.
 	Wall time.Duration `json:"wall_ns"`
 }
 
@@ -162,12 +173,23 @@ type shardState struct {
 	// position in the round's global record slice.
 	lrecs  []int32
 	posIdx []int32
-	// subs/reps are the current round's output from ApplyHashExport.
+	// subs/reps/tabs are the current round's output from
+	// ApplyHashExport; tabs stays nil for a shard with no records this
+	// round and goes back to pool when the round's reconcile ends.
 	subs []([]int32)
 	reps []core.BucketRep
-	// busy is the shard's wall time inside the current round;
-	// roundColl/roundMerges its collision and merge deltas.
-	busy                   time.Duration
+	tabs core.BucketTables
+	// edges/keys are the current round's boundary probe output: one
+	// edge (global round positions) per bucket a shard below this one
+	// also holds, and the number of those keys held by exactly one
+	// shard below (each boundary key is counted at its second-lowest
+	// holder).
+	edges []edge
+	keys  int64
+	// busy is the shard's wall time inside the current round's scan,
+	// probeBusy inside its boundary probe; roundColl/roundMerges its
+	// collision and merge deltas.
+	busy, probeBusy        time.Duration
 	roundColl, roundMerges int64
 	// prevEvals snapshots the cache's eval counter at run start.
 	prevEvals int64
@@ -196,10 +218,6 @@ type Engine struct {
 	descs      any
 	numHashers int
 
-	// bmaps are the reconcile pass's per-table boundary maps, reused
-	// (cleared) across rounds.
-	bmaps []map[uint64]boundaryEnt
-
 	boundary BoundaryStats
 	// pairwiseMerges counts the most recent run's merges by the
 	// pairwise verification rounds (which run on global record IDs and
@@ -209,13 +227,9 @@ type Engine struct {
 	pairwiseMerges int64
 }
 
-// boundaryEnt tracks one bucket key during the reconcile exchange:
-// the global round position of the last representative chained, and
-// whether the key has already been counted as a boundary key.
-type boundaryEnt struct {
-	pos   int32
-	multi bool
-}
+// edge is one cross-shard boundary edge between two positions in the
+// round's global record slice.
+type edge struct{ a, b int32 }
 
 // New creates a sharded engine over ds with opts.Shards partitions.
 // The dataset may keep growing afterwards: each Filter call
@@ -520,8 +534,8 @@ func (e *Engine) Filter(plan *core.Plan) (*core.Result, error) {
 // pool), then reconcile into one global partition over the round's
 // records. The returned clusters hold global record IDs in the same
 // canonical order core.ApplyHashOpt produces; work is the round's
-// cumulative busy time (concurrent shard scans summed, sequential
-// partition/reconcile counted once).
+// cumulative busy time (concurrent shard scans and probes summed,
+// sequential partition/replay/collection counted once).
 func (e *Engine) shardedRound(recs []int32, plan *core.Plan, hf *core.HashFunc, sem chan struct{}) ([][]int32, time.Duration) {
 	start := time.Now()
 	numTables := len(hf.Tables)
@@ -533,7 +547,7 @@ func (e *Engine) shardedRound(recs []int32, plan *core.Plan, hf *core.HashFunc, 
 		// buckets or clusters must not leak into this round's reconcile.
 		s.subs = nil
 		s.reps = s.reps[:0]
-		s.busy = 0
+		s.busy, s.probeBusy = 0, 0
 		s.roundColl, s.roundMerges = 0, 0
 	}
 	for i, id := range recs {
@@ -543,11 +557,9 @@ func (e *Engine) shardedRound(recs []int32, plan *core.Plan, hf *core.HashFunc, 
 	}
 
 	// Concurrent per-shard scans, at most cap(sem) in flight. Each
-	// shard touches only its own state; determinism needs no ordering
-	// here because reconciliation below walks shards in index order.
+	// shard touches only its own state.
 	parStart := time.Now()
 	var wg sync.WaitGroup
-	hopts := core.HashOptions{MapTables: e.opts.MapTables}
 	for _, s := range e.shards {
 		if len(s.lrecs) == 0 {
 			continue
@@ -557,11 +569,9 @@ func (e *Engine) shardedRound(recs []int32, plan *core.Plan, hf *core.HashFunc, 
 		go func(s *shardState) {
 			defer wg.Done()
 			t0 := time.Now()
-			s.reps = s.reps[:0]
-			o := hopts
-			o.Pool = s.pool
 			prevColl, prevMerges := s.hst.Collisions, s.hst.Merges
-			s.subs, s.reps = core.ApplyHashExport(s.lds, plan, hf, s.cache, s.lrecs, s.reps, o, &s.hst)
+			s.subs, s.reps, s.tabs = core.ApplyHashExport(s.lds, plan, hf, s.cache, s.lrecs, s.reps,
+				core.HashOptions{Pool: s.pool}, &s.hst)
 			s.busy = time.Since(t0)
 			s.roundColl = s.hst.Collisions - prevColl
 			s.roundMerges = s.hst.Merges - prevMerges
@@ -593,15 +603,40 @@ func (e *Engine) shardedRound(recs []int32, plan *core.Plan, hf *core.HashFunc, 
 	}
 
 	// Reconcile: rebuild the global forest over the round's records.
-	// Step 1 replays every shard's local components (their merges were
-	// already counted by the shards); step 2 chains boundary buckets
-	// across shards in fixed shard order. With numTables == 0 no
-	// record entered any bucket — mirror the single engine, which
-	// drops every record of such a round.
+	// Step 1 probes every shard's buckets against the finished tables
+	// of the shards below it, concurrently; step 2 replays every
+	// shard's local components (their merges were already counted by
+	// the shards); step 3 chains the probe edges in shard order. With
+	// numTables == 0 no record entered any bucket — mirror the single
+	// engine, which drops every record of such a round.
 	r0 := time.Now()
 	var subs [][]int32
 	var boundaryPairs, boundaryKeys, reconcileMerges int64
+	var probeWall time.Duration
 	if numTables > 0 {
+		if e.p > 1 {
+			p0 := time.Now()
+			for i, s := range e.shards[1:] {
+				s.edges, s.keys = s.edges[:0], 0
+				if len(s.reps) == 0 {
+					continue
+				}
+				wg.Add(1)
+				sem <- struct{}{}
+				go func(i int, s *shardState) {
+					defer wg.Done()
+					t0 := time.Now()
+					e.probe(i, s)
+					s.probeBusy = time.Since(t0)
+					<-sem
+				}(i+1, s)
+			}
+			wg.Wait()
+			probeWall = time.Since(p0)
+			for _, s := range e.shards[1:] {
+				busySum += s.probeBusy
+			}
+		}
 		forest := ppt.NewForest(len(recs))
 		for i := range recs {
 			forest.MakeTree(i)
@@ -618,38 +653,24 @@ func (e *Engine) shardedRound(recs []int32, plan *core.Plan, hf *core.HashFunc, 
 			}
 		}
 		if e.p > 1 {
-			for len(e.bmaps) < numTables {
-				e.bmaps = append(e.bmaps, make(map[uint64]boundaryEnt))
-			}
-			for t := 0; t < numTables; t++ {
-				clear(e.bmaps[t])
-			}
-			for _, s := range e.shards {
-				for _, rp := range s.reps {
-					gpos := s.posIdx[rp.Rep]
-					m := e.bmaps[rp.Table]
-					ent, ok := m[rp.Key]
-					if !ok {
-						m[rp.Key] = boundaryEnt{pos: gpos}
-						continue
-					}
-					// A later shard populated a bucket an earlier shard
-					// owns too: chain one edge, exactly the edge the
-					// single engine would have produced when the later
-					// shard's first member hit the occupied bucket.
-					boundaryPairs++
-					if !ent.multi {
-						boundaryKeys++
-					}
-					if ra, rb := forest.Root(int(ent.pos)), forest.Root(int(gpos)); ra != rb {
+			for _, s := range e.shards[1:] {
+				boundaryPairs += int64(len(s.edges))
+				boundaryKeys += s.keys
+				for _, ed := range s.edges {
+					if ra, rb := forest.Root(int(ed.a)), forest.Root(int(ed.b)); ra != rb {
 						forest.Merge(ra, rb)
 						reconcileMerges++
 					}
-					m[rp.Key] = boundaryEnt{pos: gpos, multi: true}
 				}
 			}
 		}
 		subs = collectClusters(forest, recs)
+	}
+	for _, s := range e.shards {
+		if s.tabs != nil {
+			s.tabs.Release(s.pool)
+			s.tabs = nil
+		}
 	}
 	reconWall := time.Since(r0)
 
@@ -667,9 +688,40 @@ func (e *Engine) shardedRound(recs []int32, plan *core.Plan, hf *core.HashFunc, 
 	obs.Count(e.opts.Obs, obs.CtrBoundaryPairs, boundaryPairs)
 	obs.Count(e.opts.Obs, obs.CtrReconcileMerges, reconcileMerges)
 
-	// Work: concurrent shard scans by busy time, everything else once.
-	work := time.Since(start) - parWall + busySum
+	// Work: concurrent shard scans and probes by busy time, everything
+	// else once.
+	work := time.Since(start) - parWall - probeWall + busySum
 	return subs, work
+}
+
+// probe looks every bucket of shard si up in the finished tables of
+// shards si-1, ..., 0 and, at the first shard j that holds the key,
+// records one edge from a member of j's bucket to si's ambassador. The
+// key counts as a boundary key only when no shard below j holds it, so
+// a key on m shards is counted once, at the second-lowest holder. The
+// probe reads other shards' tables and positions and writes only si's
+// edges and keys, so probes of different shards run concurrently.
+func (e *Engine) probe(si int, s *shardState) {
+	for _, rp := range s.reps {
+		holders := 0
+		for j := si - 1; j >= 0 && holders < 2; j-- {
+			o := e.shards[j]
+			if o.tabs == nil {
+				continue
+			}
+			val, ok := o.tabs.Lookup(int(rp.Table), rp.Key)
+			if !ok {
+				continue
+			}
+			if holders == 0 {
+				s.edges = append(s.edges, edge{a: o.posIdx[val], b: s.posIdx[rp.Rep]})
+			}
+			holders++
+		}
+		if holders == 1 {
+			s.keys++
+		}
+	}
 }
 
 // collectClusters mirrors core's canonical cluster collection: one
